@@ -588,7 +588,7 @@ pub fn cmd_recommend(args: &Args, w: &mut impl Write) -> Result<(), ArgError> {
     let cost = SimCost::niagara();
     // The tuner's own portfolio, so the listing shows exactly what the
     // recommendation swept (placement-gated candidates included).
-    for algo in nhood_core::autotune::candidates(n, &layout, 8) {
+    for algo in nhood_core::autotune::candidates(n, &layout) {
         let plan = comm.plan(algo).map_err(|e| fail(e.to_string()))?;
         let t = simulate(&plan, &layout, m, &cost).map_err(|e| fail(e.to_string()))?;
         let marker = if algo == rec { "  <-- recommended" } else { "" };

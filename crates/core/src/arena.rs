@@ -1,11 +1,11 @@
 //! Zero-copy block arenas: flat per-rank buffers with a precomputed
 //! offset table.
 //!
-//! The legacy executors model every payload block as an owned (or
-//! `Arc`-shared) `Vec<u8>` inside a per-rank hash map, so each phase pays
-//! per-block allocation, hashing and pointer-chasing costs that the
-//! paper's Hockney model (§V) never charges. The arena path moves all of
-//! that work to **plan time**:
+//! An executor that models every payload block as an owned (or
+//! `Arc`-shared) `Vec<u8>` inside a per-rank hash map pays per-block
+//! allocation, hashing and pointer-chasing costs each phase that the
+//! paper's Hockney model (§V) never charges. The arena moves all of that
+//! work to **plan time**:
 //!
 //! * [`ArenaLayout::for_plan`] walks the plan once and assigns every
 //!   block a rank ever holds a fixed **slot** in that rank's flat arena

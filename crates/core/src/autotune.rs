@@ -27,6 +27,10 @@ use std::sync::Arc;
 /// that sweep, clamped to the communicator size.
 pub const CN_SWEEP: [usize; 4] = [2, 4, 8, 16];
 
+/// Leaders per node of the `HierarchicalLeader` candidate the tuner
+/// sweeps.
+pub const LEADERS_PER_NODE: usize = 8;
+
 /// What one tuning pass decided, and at what cost.
 #[derive(Clone, Debug)]
 pub struct TuneOutcome {
@@ -47,10 +51,10 @@ pub struct TuneOutcome {
 /// Always includes `Naive`; for non-degenerate sizes also Distance
 /// Halving, the [`CN_SWEEP`] of Common Neighbor group sizes (those
 /// below `n`), and PAT at radix 2 and 4. The node-hierarchical designs
-/// — `HierarchicalLeader { leaders_per_node }` and `Bruck` — join only
+/// — `HierarchicalLeader` with [`LEADERS_PER_NODE`] and `Bruck` — join only
 /// under block placement (their builders require it) and only when the
 /// layout actually spans multiple nodes.
-pub fn candidates(n: usize, layout: &ClusterLayout, leaders_per_node: usize) -> Vec<Algorithm> {
+pub fn candidates(n: usize, layout: &ClusterLayout) -> Vec<Algorithm> {
     let mut cands = vec![Algorithm::Naive];
     if n < 2 {
         return cands;
@@ -64,7 +68,7 @@ pub fn candidates(n: usize, layout: &ClusterLayout, leaders_per_node: usize) -> 
     cands.push(Algorithm::Pat { radix: 2 });
     cands.push(Algorithm::Pat { radix: 4 });
     if layout.placement() == Placement::Block && layout.nodes() > 1 {
-        cands.push(Algorithm::HierarchicalLeader { leaders_per_node: leaders_per_node.max(1) });
+        cands.push(Algorithm::HierarchicalLeader { leaders_per_node: LEADERS_PER_NODE });
         cands.push(Algorithm::Bruck);
     }
     cands
@@ -77,22 +81,22 @@ mod tests {
     #[test]
     fn portfolio_scales_with_n_and_placement() {
         let block = ClusterLayout::new(4, 2, 4);
-        let full = candidates(32, &block, 8);
+        let full = candidates(32, &block);
         assert!(full.contains(&Algorithm::Bruck));
         assert!(full.contains(&Algorithm::HierarchicalLeader { leaders_per_node: 8 }));
         assert!(full.contains(&Algorithm::CommonNeighbor { k: 16 }));
 
         // tiny communicator: direct sends only
-        assert_eq!(candidates(1, &block, 8), vec![Algorithm::Naive]);
+        assert_eq!(candidates(1, &block), vec![Algorithm::Naive]);
 
         // CN sweep clamps below n
-        let small = candidates(8, &block, 8);
+        let small = candidates(8, &block);
         assert!(!small.contains(&Algorithm::CommonNeighbor { k: 8 }));
         assert!(small.contains(&Algorithm::CommonNeighbor { k: 4 }));
 
         // non-block placement drops the node-hierarchical designs
         let rr = ClusterLayout::new(4, 2, 4).with_placement(Placement::RoundRobinNodes);
-        let no_hier = candidates(32, &rr, 8);
+        let no_hier = candidates(32, &rr);
         assert!(!no_hier.contains(&Algorithm::Bruck));
         assert!(!no_hier.iter().any(|a| matches!(a, Algorithm::HierarchicalLeader { .. })));
     }
@@ -100,6 +104,6 @@ mod tests {
     #[test]
     fn auto_is_never_its_own_candidate() {
         let layout = ClusterLayout::new(4, 2, 4);
-        assert!(!candidates(64, &layout, 8).contains(&Algorithm::Auto));
+        assert!(!candidates(64, &layout).contains(&Algorithm::Auto));
     }
 }

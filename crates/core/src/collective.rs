@@ -46,14 +46,15 @@
 
 use crate::alltoall::{A2aMsg, AlltoallPlan};
 use crate::comm::{CommError, ExecReport};
-use crate::exec::ExecError;
+use crate::exec::threaded::{run_ranks, WireMsg};
+use crate::exec::{ExecError, ExecOptions};
+use crate::fault::FaultStats;
 use crate::plan::Algorithm;
 use crate::sizes::BlockSizes;
 use nhood_simnet::{Msg, Phase, Schedule, SimReport};
 use nhood_telemetry::{Recorder, NULL};
 use nhood_topology::{Rank, Topology};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::mpsc;
 use std::time::Duration;
 
 /// Lane type of a [`Reduction`].
@@ -967,10 +968,30 @@ pub(crate) fn run_combining_virtual(
     Ok(CombiningRun { rbufs, schedule: sched })
 }
 
-/// One-thread-per-rank combining execution over real channels. Runs the
-/// same [`RankState`] engine as the virtual backend with the same
-/// within-phase `(peer, tag)` integration order, so outputs (f32 bits
-/// included) are identical.
+/// A combining-family wire message: one planned message's packed groups.
+#[derive(Clone)]
+struct Packet {
+    src: Rank,
+    tag: u64,
+    groups: Vec<WireGroup>,
+}
+
+impl WireMsg for Packet {
+    fn src(&self) -> Rank {
+        self.src
+    }
+    fn tag(&self) -> u64 {
+        self.tag
+    }
+    fn byte_len(&self) -> usize {
+        packet_bytes(&self.groups)
+    }
+}
+
+/// One-thread-per-rank combining execution on the shared threaded
+/// rank-runner. Runs the same [`RankState`] engine as the virtual
+/// backend with the same within-phase `(peer, tag)` integration order,
+/// so outputs (f32 bits included) are identical.
 pub(crate) fn run_combining_threaded(
     plan: &AlltoallPlan,
     graph: &Topology,
@@ -980,66 +1001,27 @@ pub(crate) fn run_combining_threaded(
     recv_timeout: Duration,
     rec: &dyn Recorder,
 ) -> Result<Vec<Vec<u8>>, ExecError> {
-    let n = plan.n();
     let states = seed_states(op, graph, sbufs, sizes)?;
-    type Envelope = (usize, Rank, u64, Vec<WireGroup>);
-    let mut txs: Vec<mpsc::Sender<Envelope>> = Vec::with_capacity(n);
-    let mut rxs: Vec<mpsc::Receiver<Envelope>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = mpsc::channel();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let results: Vec<Result<Vec<u8>, ExecError>> = std::thread::scope(|scope| {
-        let txs = &txs;
-        let handles: Vec<_> = states
-            .into_iter()
-            .zip(rxs)
-            .map(|(mut st, rx)| {
-                scope.spawn(move || -> Result<Vec<u8>, ExecError> {
-                    let rank = st.rank;
-                    let mut pending: HashMap<usize, Vec<(Rank, u64, Vec<WireGroup>)>> =
-                        HashMap::new();
-                    for k in 0..plan.phase_count() {
-                        let ph = &plan.per_rank[rank][k];
-                        for msg in &ph.sends {
-                            let packet = st.pack(msg, k)?;
-                            rec.msg_sent(rank, msg.peer, packet_bytes(&packet));
-                            txs[msg.peer]
-                                .send((k, rank, msg.tag, packet))
-                                .map_err(|_| ExecError::Timeout { rank, phase: k })?;
-                        }
-                        let want = ph.recvs.len();
-                        let mut got = pending.remove(&k).unwrap_or_default();
-                        while got.len() < want {
-                            match rx.recv_timeout(recv_timeout) {
-                                Ok((kk, peer, tag, packet)) if kk == k => {
-                                    got.push((peer, tag, packet))
-                                }
-                                Ok((kk, peer, tag, packet)) => {
-                                    pending.entry(kk).or_default().push((peer, tag, packet))
-                                }
-                                Err(_) => return Err(ExecError::Timeout { rank, phase: k }),
-                            }
-                        }
-                        got.sort_by_key(|e| (e.0, e.1));
-                        for (peer, _tag, packet) in got {
-                            rec.msg_recvd(rank, peer, packet_bytes(&packet));
-                            st.integrate(packet);
-                        }
-                    }
-                    st.finish(graph, op, sizes)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank })))
-            .collect()
-    });
-    drop(txs);
-    results.into_iter().collect()
+    let opts = ExecOptions::new().recv_timeout(recv_timeout).recorder(rec);
+    run_ranks(states, &opts, &FaultStats::default(), |rank, mut st, port| {
+        let mut keys: Vec<(Rank, u64)> = Vec::new();
+        for (k, ph) in plan.per_rank[rank].iter().enumerate() {
+            port.begin_phase(k)?;
+            for msg in &ph.sends {
+                let groups = st.pack(msg, k)?;
+                port.send(msg.peer, Packet { src: rank, tag: msg.tag, groups })?;
+            }
+            port.flush()?;
+            // ascending (peer, tag) integration: the f32 determinism contract
+            keys.clear();
+            keys.extend(ph.recvs.iter().map(|m| (m.peer, m.tag)));
+            keys.sort_unstable();
+            for &(peer, tag) in &keys {
+                st.integrate(port.recv(peer, tag)?.groups);
+            }
+        }
+        st.finish(graph, op, sizes)
+    })
 }
 
 #[cfg(test)]
@@ -1231,6 +1213,83 @@ mod tests {
         )
         .unwrap();
         assert_eq!(v, t, "f32 bits must agree across backends");
+    }
+
+    #[test]
+    fn threaded_combining_lost_send_times_out_typed() {
+        // a cleared send leaves its receiver waiting: every op must fail
+        // typed within the receive timeout, never hang
+        let g = Topology::from_edges(2, [(0, 1)]);
+        let mut plan = crate::alltoall::plan_naive_alltoall(&g);
+        plan.per_rank[0][0].sends.clear();
+        let sizes = BlockSizes::uniform(4);
+        let red = Reduction::SUM_U8;
+        for (op, sbufs) in [
+            (CollectiveOp::Alltoallv, vec![vec![7u8; 4], vec![]]),
+            (CollectiveOp::ReduceScatter(red), vec![vec![7u8; 4], vec![]]),
+            (CollectiveOp::Allreduce(red), vec![vec![7u8; 4], vec![3u8; 4]]),
+        ] {
+            let t0 = std::time::Instant::now();
+            let err = run_combining_threaded(
+                &plan,
+                &g,
+                op,
+                &sbufs,
+                &sizes,
+                Duration::from_millis(50),
+                &NULL,
+            )
+            .unwrap_err();
+            assert_eq!(err, ExecError::Timeout { rank: 1, phase: 0 }, "{op}");
+            assert!(t0.elapsed() < Duration::from_secs(5), "{op}: must not hang");
+        }
+    }
+
+    #[test]
+    fn threaded_combining_parks_later_phase_arrivals() {
+        // rank 2 receives 0's item in phase 0 and 1's in phase 1; rank 1
+        // has nothing to do in phase 0, so its phase-1 message can reach
+        // rank 2 while rank 2 still waits in phase 0 — it must be parked
+        use crate::alltoall::A2aPhase;
+        let g = Topology::from_edges(3, [(0, 2), (1, 2)]);
+        let msg = |peer, src, tag| A2aMsg { peer, items: vec![(src, 2)], tag };
+        let recv = |msgs| A2aPhase { sends: vec![], recvs: msgs };
+        let send = |msgs| A2aPhase { sends: msgs, recvs: vec![] };
+        let plan = AlltoallPlan {
+            algorithm: Algorithm::Naive,
+            per_rank: vec![
+                vec![send(vec![msg(2, 0, 0)]), A2aPhase::default()],
+                vec![A2aPhase::default(), send(vec![msg(2, 1, 1)])],
+                vec![recv(vec![msg(0, 0, 0)]), recv(vec![msg(1, 1, 1)])],
+            ],
+        };
+        plan.validate(&g).unwrap();
+        let m = 8;
+        let f32s = |r: usize| -> Vec<u8> {
+            (0..m / 4).flat_map(|i| ((r as f32 + 0.25) * (i as f32 + 1.5)).to_le_bytes()).collect()
+        };
+        let red = Reduction::new(ReduceOp::Sum, DType::F32);
+        let sizes = BlockSizes::uniform(m);
+        for (op, sbufs) in [
+            (CollectiveOp::Alltoallv, vec![f32s(0), f32s(1), vec![]]),
+            (CollectiveOp::ReduceScatter(red), vec![f32s(0), f32s(1), vec![]]),
+            (CollectiveOp::Allreduce(red), vec![f32s(0), f32s(1), f32s(2)]),
+        ] {
+            let want = run_combining_virtual(&plan, &g, op, &sbufs, &sizes, &NULL).unwrap().rbufs;
+            for _ in 0..20 {
+                let got = run_combining_threaded(
+                    &plan,
+                    &g,
+                    op,
+                    &sbufs,
+                    &sizes,
+                    Duration::from_secs(10),
+                    &NULL,
+                )
+                .unwrap();
+                assert_eq!(got, want, "{op}: threaded diverges from the virtual oracle");
+            }
+        }
     }
 
     #[test]

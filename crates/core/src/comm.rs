@@ -200,7 +200,7 @@ impl std::fmt::Display for FallbackReason {
     }
 }
 
-/// Structured outcome of [`DistGraphComm::neighbor_allgather_robust`].
+/// Structured outcome of a robust [`DistGraphComm::collective`] request.
 #[derive(Clone, Debug)]
 pub struct ExecReport {
     /// The algorithm the caller asked for.
@@ -213,10 +213,8 @@ pub struct ExecReport {
     /// call made — the failed primary run, repaired re-executions and
     /// the naive fallback all tally into one shared sink.
     pub faults: FaultCounts,
-    /// Telemetry counter totals, when the run was given a counting
-    /// recorder (see
-    /// [`DistGraphComm::neighbor_allgather_robust_recorded`]); `None`
-    /// otherwise.
+    /// Telemetry counter totals, when the request carried a counting
+    /// recorder ([`CollectiveRequest::recorder`]); `None` otherwise.
     pub counters: Option<Counts>,
     /// Mid-execution link-down repairs performed before the buffers were
     /// produced (0 on the happy path).
@@ -436,7 +434,7 @@ impl DistGraphComm {
     }
 
     /// Attaches a fault plan: the threaded executor and the distributed
-    /// negotiation of [`Self::neighbor_allgather_robust`] consult it at
+    /// negotiation of robust [`Self::collective`] requests consult it at
     /// every send.
     pub fn with_fault_plan(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
@@ -816,7 +814,7 @@ impl DistGraphComm {
         sizes: &BlockSizes,
         rec: &dyn Recorder,
     ) -> Result<crate::autotune::TuneOutcome, CommError> {
-        let cands = crate::autotune::candidates(self.n(), &self.layout, 8);
+        let cands = crate::autotune::candidates(self.n(), &self.layout);
         self.tune_candidates(&cands, sizes, rec)
     }
 
@@ -916,7 +914,7 @@ impl DistGraphComm {
     }
 
     /// Runs any neighborhood collective from one typed request — the
-    /// single entry point every per-op convenience method now shims to.
+    /// single execution entry point.
     ///
     /// The allgather family executes the lowered [`CollectivePlan`]
     /// (every algorithm; robust + fault-injected execution on the
@@ -958,7 +956,7 @@ impl DistGraphComm {
             (None, false) => self.planning_sizes(),
         };
         let plan = self.plan_shared_sized(req.algorithm, &sizes, req.recorder)?;
-        let base_opts = || ExecOptions::new().ragged(ragged).recorder(req.recorder).op(req.op);
+        let base_opts = || ExecOptions::new().ragged(ragged).recorder(req.recorder);
         match req.backend {
             ExecBackend::Virtual => {
                 let out = Virtual.run(
@@ -1167,40 +1165,6 @@ impl DistGraphComm {
         Ok(plan)
     }
 
-    /// One-call neighborhood allgather on the virtual backend.
-    #[deprecated(note = "use `DistGraphComm::collective` with `CollectiveRequest::allgather`")]
-    pub fn neighbor_allgather(
-        &self,
-        algo: Algorithm,
-        payloads: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>, CommError> {
-        self.collective(&CollectiveRequest::allgather(payloads).algorithm(algo)).map(|o| o.rbufs)
-    }
-
-    /// Ragged (per-rank-sized) neighborhood allgather on the virtual
-    /// backend.
-    #[deprecated(note = "use `DistGraphComm::collective` with `CollectiveRequest::allgatherv`")]
-    pub fn neighbor_allgatherv(
-        &self,
-        algo: Algorithm,
-        payloads: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>, CommError> {
-        self.collective(&CollectiveRequest::allgatherv(payloads).algorithm(algo)).map(|o| o.rbufs)
-    }
-
-    /// Uniform neighborhood alltoall: `sbufs[p]` holds one distinct
-    /// `m`-byte block per outgoing neighbor (in `O(p)` order).
-    #[deprecated(note = "use `DistGraphComm::collective` with `CollectiveRequest::alltoallv`")]
-    pub fn neighbor_alltoall(
-        &self,
-        algo: Algorithm,
-        sbufs: &[Vec<u8>],
-        m: usize,
-    ) -> Result<Vec<Vec<u8>>, CommError> {
-        let req = CollectiveRequest::alltoallv(sbufs).algorithm(algo).sizes(BlockSizes::uniform(m));
-        self.collective(&req).map(|o| o.rbufs)
-    }
-
     /// Builds (and validates) the item-routing alltoall plan the
     /// combining family executes.
     ///
@@ -1294,52 +1258,22 @@ impl DistGraphComm {
         }
     }
 
-    /// Fault-tolerant neighborhood allgather on the threaded executor.
+    /// The robust-allgather engine behind [`Self::collective`] with
+    /// `robust = true`: fault-tolerant neighborhood allgather on the
+    /// threaded executor.
     ///
     /// Plans `algo` (Distance Halving via the distributed negotiation,
     /// so construction itself can fail under faults) and executes with
     /// the policy's timeouts, retry budget and the attached fault plan.
-    /// If the policy allows it, a failed build or a liveness failure
+    /// A dead link mid-run is repaired around and re-executed. If the
+    /// [`RobustPolicy`] allows it, a failed build or a liveness failure
     /// during execution **degrades to the naive plan** instead of
     /// erroring; the returned [`ExecReport`] records what was requested,
-    /// what ran, why it degraded, and the fault/retry tally. Buffers are
-    /// only ever returned when some plan ran to completion — a fault
-    /// schedule that defeats both the requested plan and the naive
-    /// fallback yields a typed error, never corrupt data or a hang.
-    #[deprecated(
-        note = "use `DistGraphComm::collective` with `CollectiveRequest::allgather(..).robust(true).backend(ExecBackend::Threaded)`"
-    )]
-    pub fn neighbor_allgather_robust(
-        &self,
-        algo: Algorithm,
-        payloads: &[Vec<u8>],
-    ) -> Result<(Vec<Vec<u8>>, ExecReport), CommError> {
-        self.robust_allgather_inner(algo, payloads, &NULL)
-    }
-
-    /// [`Self::neighbor_allgather_robust`] with a telemetry
-    /// [`Recorder`]: negotiation, execution, retries and the
-    /// degradation decision itself all report into `rec` (a fallback is
-    /// recorded against rank 0, the communicator-wide event's
-    /// representative). When `rec` keeps counters (a
-    /// `CountingRecorder`), their totals are copied into
-    /// [`ExecReport::counters`].
-    #[deprecated(
-        note = "use `DistGraphComm::collective` with `CollectiveRequest::allgather(..).robust(true).backend(ExecBackend::Threaded).recorder(..)`"
-    )]
-    pub fn neighbor_allgather_robust_recorded(
-        &self,
-        algo: Algorithm,
-        payloads: &[Vec<u8>],
-        rec: &dyn Recorder,
-    ) -> Result<(Vec<Vec<u8>>, ExecReport), CommError> {
-        self.robust_allgather_inner(algo, payloads, rec)
-    }
-
-    /// The robust-allgather engine behind [`Self::collective`] with
-    /// `robust = true`: distributed negotiation, mid-run link-down
-    /// self-healing, and naive degradation, per the communicator's
-    /// [`RobustPolicy`].
+    /// what ran, why it degraded, and the fault/retry tally (plus the
+    /// counter totals when `rec` keeps counters). Buffers are only ever
+    /// returned when some plan ran to completion — a fault schedule that
+    /// defeats both the requested plan and the naive fallback yields a
+    /// typed error, never corrupt data or a hang.
     fn robust_allgather_inner(
         &self,
         algo: Algorithm,
@@ -1790,25 +1724,6 @@ mod tests {
         // ...and runs on the threaded transport only
         let req = CollectiveRequest::allgather(&payloads).robust(true);
         assert!(matches!(c.collective(&req), Err(CommError::UnsupportedCollective { .. })));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_collective() {
-        let c = comm(16, 0.4);
-        let payloads = test_payloads(16, 8, 11);
-        let via_shim = c.neighbor_allgather(Algorithm::DistanceHalving, &payloads).unwrap();
-        let via_req = allgather(&c, Algorithm::DistanceHalving, &payloads);
-        assert_eq!(via_shim, via_req);
-
-        let m = 6usize;
-        let sbufs: Vec<Vec<u8>> = (0..16)
-            .map(|p| (0..c.graph().outdegree(p) * m).map(|i| (p * 31 + i) as u8).collect())
-            .collect();
-        let via_shim = c.neighbor_alltoall(Algorithm::DistanceHalving, &sbufs, m).unwrap();
-        let req = CollectiveRequest::alltoallv(&sbufs).sizes(BlockSizes::uniform(m));
-        let via_req = c.collective(&req).unwrap().rbufs;
-        assert_eq!(via_shim, via_req);
     }
 
     #[test]

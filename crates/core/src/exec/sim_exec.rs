@@ -40,8 +40,7 @@ impl SimCost {
 /// from [`Sim::m`] when set — so cluster-scale sizes need no real
 /// payload allocation — and from the payloads otherwise. The
 /// [`ExecOptions`] recorder receives every simulated message, making
-/// sim telemetry directly comparable with the real executors'
-/// (formerly the `simulate` vs `simulate_recorded` split).
+/// sim telemetry directly comparable with the real executors'.
 #[derive(Clone, Debug)]
 pub struct Sim {
     /// The modelled cluster.
@@ -169,23 +168,6 @@ pub fn simulate(
 ) -> Result<SimReport, SimError> {
     let schedule = to_schedule(plan, m, cost);
     Engine::new(layout, cost.net).run(&schedule)
-}
-
-/// Like [`simulate`], but also replays every simulated message into
-/// `rec` (see [`Engine::run_recorded`]): counters tally one
-/// message/byte pair per planned transfer and span recorders get a
-/// simulated-time track per rank, making the sim backend's telemetry
-/// directly comparable with the virtual and threaded executors'.
-#[deprecated(note = "use `Sim { .. }.run(...)` with `ExecOptions::new().recorder(...)`")]
-pub fn simulate_recorded(
-    plan: &CollectivePlan,
-    layout: &ClusterLayout,
-    m: usize,
-    cost: &SimCost,
-    rec: &dyn nhood_telemetry::Recorder,
-) -> Result<SimReport, SimError> {
-    let schedule = to_schedule(plan, m, cost);
-    Engine::new(layout, cost.net).run_recorded(&schedule, rec)
 }
 
 /// Lowers `plan` to a schedule with *per-rank* payload sizes — the
@@ -395,18 +377,6 @@ mod tests {
             .unwrap();
         let want = simulate(&plan, &layout, 256, &SimCost::niagara()).unwrap();
         assert_eq!(got.makespan, want.makespan);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_simulate_recorded_still_works() {
-        let g = erdos_renyi(12, 0.4, 1);
-        let layout = ClusterLayout::new(2, 2, 3);
-        let plan = plan_naive(&g);
-        let rec = nhood_telemetry::CountingRecorder::new(12);
-        let rep = simulate_recorded(&plan, &layout, 64, &SimCost::niagara(), &rec).unwrap();
-        assert!(rep.makespan > 0.0);
-        assert_eq!(rec.totals().msgs_sent as usize, plan.message_count());
     }
 
     #[test]

@@ -9,28 +9,28 @@
 //! message passing — the closest this library gets to running the
 //! collective "for real".
 //!
-//! Two data-movement engines share the transport:
-//!
-//! * [`ExecEngine::Arena`] (default) — true zero-copy: wire messages are
-//!   scatter-gather descriptor lists of borrowed slices into the
-//!   original payload buffers (the shared-memory analog of an RDMA
-//!   iovec send from registered memory). A send resolves precomputed
-//!   slot runs to slice views (one descriptor for Distance Halving
-//!   halving steps), a receive appends the descriptors to the rank's
-//!   logical arena, and payload bytes are copied exactly **once** per
-//!   rank — into the final receive buffer;
-//! * [`ExecEngine::PerBlock`] — the legacy `Arc`-shared block store,
-//!   kept as the bench baseline.
-//!
-//! Both engines serve ragged (`allgatherv`) payloads; the arena engine
-//! resolves slot runs through per-rank [`SlotExtents`] byte tables.
+//! Both plan families run on one rank-runner, `run_ranks`: it owns the
+//! channel mesh, the scoped spawn and join, the fault-aware transport
+//! and the keyed receive, and each family supplies only a per-rank step
+//! function. The allgather family (this module's [`Threaded`]) lands
+//! zero-copy scatter-gather messages: a wire message is a descriptor
+//! list of borrowed slices into the original payload buffers (the
+//! shared-memory analog of an RDMA iovec send from registered memory).
+//! A send resolves precomputed slot runs to slice views (one descriptor
+//! for Distance Halving halving steps), a receive appends the
+//! descriptors to the rank's logical arena, and payload bytes are copied
+//! exactly **once** per rank — into the final receive buffer. Ragged
+//! (`allgatherv`) payloads resolve slot runs through per-rank
+//! [`SlotExtents`] byte tables. The combining family (alltoallv, sparse
+//! reduce_scatter and allreduce) packs and integrates
+//! `crate::collective` rank states over the same runner.
 //!
 //! # Robustness
 //!
 //! The executor is the primary consumer of the fault-injection layer
 //! ([`crate::fault`]). [`ExecOptions`] carries a receive timeout, an
 //! optional per-phase deadline, a retry budget with bounded exponential
-//! backoff, and an optional [`FaultPlan`]. Sends traverse a small
+//! backoff, and an optional [`crate::fault::FaultPlan`]. Sends traverse a small
 //! reliable-transport emulation: an attempt the fault plan drops is
 //! retried (with backoff) until the budget is exhausted, at which point
 //! the message is lost for good and the receiver's timeout converts the
@@ -41,58 +41,31 @@
 //! chased by the chaos suite: **identical-to-reference buffers or a
 //! typed error — never silent corruption, never a hang.**
 
-use crate::arena::{BlockArena, RankLayout, SlotExtents, SlotRun};
-use crate::exec::{
-    check_payloads, phase_label, ExecEngine, ExecError, ExecOptions, ExecOutcome, Executor,
-};
-use crate::fault::{backoff, backoff_seed, FaultAction, FaultCounts, FaultPlan, FaultStats};
-use crate::plan::{CollectivePlan, PlanPhase};
+use crate::arena::{BlockArena, SlotExtents, SlotRun};
+use crate::exec::{payload_sizes, phase_label, ExecError, ExecOptions, ExecOutcome, Executor};
+use crate::fault::{backoff, backoff_seed, FaultAction, FaultStats};
+use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
-use nhood_telemetry::{Recorder, NULL};
 use nhood_topology::{Rank, Topology};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What the fault-injected transport needs to know about a message.
-trait WireMsg: Send {
+/// What the fault-injected transport needs to know about a message
+/// (`Clone` serves the duplication fault).
+pub(crate) trait WireMsg: Send + Clone {
     fn src(&self) -> Rank;
     fn tag(&self) -> u64;
     fn byte_len(&self) -> usize;
-    /// Structural copy for the duplication fault.
-    fn duplicate(&self) -> Self;
 }
 
-/// A packed per-block wire message between rank threads (legacy engine).
-struct Wire {
-    src: Rank,
-    tag: u64,
-    /// (block id, payload bytes) pairs, in message order.
-    blocks: Vec<(Rank, Arc<Vec<u8>>)>,
-}
-
-impl WireMsg for Wire {
-    fn src(&self) -> Rank {
-        self.src
-    }
-    fn tag(&self) -> u64 {
-        self.tag
-    }
-    fn byte_len(&self) -> usize {
-        self.blocks.iter().map(|(_, d)| d.len()).sum()
-    }
-    fn duplicate(&self) -> Self {
-        Self { src: self.src, tag: self.tag, blocks: self.blocks.clone() }
-    }
-}
-
-/// A zero-copy scatter-gather wire message (arena engine): one planned
-/// message as a descriptor list of borrowed slices into the original
-/// payload buffers, in message byte order. Because every block in the
-/// system originates in some rank's payload and arena slots are
-/// write-once, forwarding re-shares the same slices hop after hop; no
-/// payload byte is copied in transit.
+/// A zero-copy scatter-gather wire message: one planned message as a
+/// descriptor list of borrowed slices into the original payload
+/// buffers, in message byte order. Because every block in the system
+/// originates in some rank's payload and arena slots are write-once,
+/// forwarding re-shares the same slices hop after hop; no payload byte
+/// is copied in transit.
+#[derive(Clone)]
 struct SegWire<'a> {
     src: Rank,
     tag: u64,
@@ -109,11 +82,7 @@ impl WireMsg for SegWire<'_> {
     fn byte_len(&self) -> usize {
         self.segs.iter().map(|s| s.len()).sum()
     }
-    fn duplicate(&self) -> Self {
-        Self { src: self.src, tag: self.tag, segs: self.segs.clone() }
-    }
 }
-
 /// One rank's arena in the threaded engine: an append-only sequence of
 /// borrowed segments whose logical concatenation is the rank's flat
 /// arena (slot `i` covers logical bytes `[ext.offset(i),
@@ -189,87 +158,6 @@ impl<'a> SegBuf<'a> {
 /// Default per-receive timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Execution parameters of the threaded backend. `Default` matches the
-/// historical behaviour: 10 s receive timeout, no phase deadline, no
-/// faults, no retries needed.
-#[deprecated(note = "use `nhood_core::exec::ExecOptions` with any `Executor` backend")]
-#[derive(Clone, Copy)]
-pub struct ThreadedConfig<'a> {
-    /// How long one blocked receive may wait before erroring.
-    pub recv_timeout: Duration,
-    /// Wall-clock budget for one whole phase (sends + receives). `None`
-    /// disables the deadline and leaves only the per-receive timeout.
-    pub phase_deadline: Option<Duration>,
-    /// Retransmission attempts per message when the fault plan drops it.
-    pub max_retries: u32,
-    /// First retry backoff; doubles per attempt (bounded by the retry
-    /// budget, so the worst-case stall is `backoff_base * (2^retries - 1)`).
-    pub backoff_base: Duration,
-    /// Fault schedule to consult at every send; `None` injects nothing.
-    pub fault: Option<&'a FaultPlan>,
-    /// Telemetry sink; the default [`nhood_telemetry::NULL`] makes every
-    /// hook a no-op.
-    pub recorder: &'a dyn Recorder,
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for ThreadedConfig<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedConfig")
-            .field("recv_timeout", &self.recv_timeout)
-            .field("phase_deadline", &self.phase_deadline)
-            .field("max_retries", &self.max_retries)
-            .field("backoff_base", &self.backoff_base)
-            .field("fault", &self.fault)
-            .finish_non_exhaustive()
-    }
-}
-
-#[allow(deprecated)]
-impl Default for ThreadedConfig<'_> {
-    fn default() -> Self {
-        Self {
-            recv_timeout: DEFAULT_TIMEOUT,
-            phase_deadline: None,
-            max_retries: 4,
-            backoff_base: Duration::from_micros(200),
-            fault: None,
-            recorder: &NULL,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl<'a> ThreadedConfig<'a> {
-    /// The equivalent [`ExecOptions`] (legacy per-block engine).
-    fn to_opts(self) -> ExecOptions<'a> {
-        ExecOptions {
-            recv_timeout: self.recv_timeout,
-            phase_deadline: self.phase_deadline,
-            max_retries: self.max_retries,
-            backoff_base: self.backoff_base,
-            fault: self.fault,
-            recorder: self.recorder,
-            ragged: false,
-            engine: ExecEngine::PerBlock,
-            build_threads: 0,
-            fault_sink: None,
-            op: crate::collective::CollectiveOp::Allgather,
-        }
-    }
-}
-
-/// Successful threaded run: receive buffers plus the fault/retry tally.
-#[deprecated(note = "use `nhood_core::exec::ExecOutcome` (returned by `Executor::run`)")]
-#[derive(Clone, Debug)]
-pub struct ThreadedReport {
-    /// Per-rank receive buffers (in-neighbor payloads concatenated in
-    /// `in_neighbors` order).
-    pub rbufs: Vec<Vec<u8>>,
-    /// Faults injected and retries spent during the run.
-    pub faults: FaultCounts,
-}
-
 /// The one-OS-thread-per-rank backend (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Threaded;
@@ -287,108 +175,9 @@ impl Executor for Threaded {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        if payloads.len() != plan.n() {
-            return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-        }
-        match opts.effective_engine() {
-            ExecEngine::Arena => {
-                let sizes = if opts.ragged {
-                    BlockSizes::from_payloads(payloads)
-                } else {
-                    BlockSizes::Uniform(check_payloads(payloads, plan.n())?)
-                };
-                run_arena(plan, graph, payloads, &sizes, arena, opts)
-            }
-            ExecEngine::PerBlock => {
-                if !opts.ragged {
-                    check_payloads(payloads, plan.n())?;
-                }
-                let (rbufs, faults) = run_inner(plan, graph, payloads, opts)?;
-                Ok(ExecOutcome { rbufs, faults, sim: None })
-            }
-        }
+        let sizes = payload_sizes(payloads, plan.n(), opts.ragged)?;
+        run_arena(plan, graph, payloads, &sizes, arena, opts)
     }
-}
-
-/// Executes `plan` with one thread per rank and returns each rank's
-/// receive buffer (in-neighbor payloads concatenated in `in_neighbors`
-/// order). Semantically identical to the virtual backend.
-#[deprecated(
-    note = "use `Threaded.run(...)` or `Threaded.run_simple(...)` (see docs/EXECUTION_API.md)"
-)]
-pub fn run_threaded(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    let opts = ExecOptions { engine: ExecEngine::PerBlock, ..ExecOptions::default() };
-    run_inner(plan, graph, payloads, &opts).map(|(rbufs, _)| rbufs)
-}
-
-/// The `neighbor_allgatherv` variant of [`run_threaded`]: per-rank
-/// payloads may differ in length.
-#[deprecated(note = "use `Threaded.run(...)` with `ExecOptions::new().ragged(true)`")]
-pub fn run_threaded_v(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    if payloads.len() != plan.n() {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-    }
-    let opts = ExecOptions { engine: ExecEngine::PerBlock, ragged: true, ..ExecOptions::default() };
-    run_inner(plan, graph, payloads, &opts).map(|(rbufs, _)| rbufs)
-}
-
-/// [`run_threaded`] with an explicit receive timeout (tests use short
-/// ones to probe failure handling).
-#[deprecated(note = "use `Threaded.run(...)` with `ExecOptions::new().recv_timeout(...)`")]
-pub fn run_threaded_with_timeout(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    timeout: Duration,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    let opts = ExecOptions {
-        recv_timeout: timeout,
-        engine: ExecEngine::PerBlock,
-        ..ExecOptions::default()
-    };
-    run_inner(plan, graph, payloads, &opts).map(|(rbufs, _)| rbufs)
-}
-
-/// The fully-configurable entry point: explicit timeouts, retry policy
-/// and optional fault injection. Uniform payload sizes are enforced (use
-/// [`run_threaded_cfg_v`] for ragged payloads).
-#[allow(deprecated)]
-#[deprecated(note = "use `Threaded.run(...)` with `ExecOptions` (see docs/EXECUTION_API.md)")]
-pub fn run_threaded_cfg(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    cfg: &ThreadedConfig<'_>,
-) -> Result<ThreadedReport, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    let (rbufs, faults) = run_inner(plan, graph, payloads, &cfg.to_opts())?;
-    Ok(ThreadedReport { rbufs, faults })
-}
-
-/// Ragged-payload variant of [`run_threaded_cfg`].
-#[allow(deprecated)]
-#[deprecated(note = "use `Threaded.run(...)` with `ExecOptions::new().ragged(true)`")]
-pub fn run_threaded_cfg_v(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    cfg: &ThreadedConfig<'_>,
-) -> Result<ThreadedReport, ExecError> {
-    if payloads.len() != plan.n() {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-    }
-    let (rbufs, faults) = run_inner(plan, graph, payloads, &cfg.to_opts())?;
-    Ok(ThreadedReport { rbufs, faults })
 }
 
 /// Sends `wire` to `dst` during `phase`, consulting the fault plan per
@@ -422,7 +211,7 @@ fn transport_send<W: WireMsg>(
             }
             FaultAction::Duplicate => {
                 FaultStats::bump(&stats.duplicates);
-                let _ = senders[dst].send(wire.duplicate());
+                let _ = senders[dst].send(wire.clone());
                 let _ = senders[dst].send(wire);
                 return Ok(());
             }
@@ -455,40 +244,6 @@ fn transport_send<W: WireMsg>(
     }
 }
 
-/// Phase-entry fault hooks shared by both engines: injected crash, then
-/// injected stall.
-fn phase_entry_faults(r: Rank, k: usize, opts: &ExecOptions<'_>) -> Result<(), ExecError> {
-    if let Some(fp) = opts.fault {
-        if fp.is_crashed(r, k) {
-            return Err(ExecError::RankCrashed { rank: r, phase: k });
-        }
-        let stall = fp.stall(r);
-        if stall > Duration::ZERO {
-            std::thread::sleep(stall);
-        }
-    }
-    Ok(())
-}
-
-/// Computes the receive wait budget, converting an elapsed deadline into
-/// the right typed error.
-fn recv_wait(
-    r: Rank,
-    k: usize,
-    deadline: Option<Instant>,
-    recv_timeout: Duration,
-) -> Result<Duration, ExecError> {
-    let mut wait = recv_timeout;
-    if let Some(dl) = deadline {
-        let now = Instant::now();
-        if now >= dl {
-            return Err(ExecError::PhaseDeadline { rank: r, phase: k });
-        }
-        wait = wait.min(dl - now);
-    }
-    Ok(wait)
-}
-
 /// Folds per-rank results into receive buffers, choosing the most
 /// actionable error when several ranks failed: a [`ExecError::LinkDown`]
 /// beats the timeouts it cascades into on peer ranks (they were waiting
@@ -518,156 +273,164 @@ fn collect_rank_results(
     }
 }
 
-/// The legacy per-block engine.
-fn run_inner(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    opts: &ExecOptions<'_>,
-) -> Result<(Vec<Vec<u8>>, FaultCounts), ExecError> {
-    let n = plan.n();
-    let local_stats = FaultStats::default();
-    let stats = opts.fault_sink.unwrap_or(&local_stats);
-    if n == 0 {
-        return Ok((Vec::new(), stats.snapshot()));
-    }
-
-    let mut senders: Vec<Sender<Wire>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Option<Receiver<Wire>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-    let senders = Arc::new(senders);
-    let labels: Vec<&'static str> = (0..plan.phase_count()).map(|k| phase_label(plan, k)).collect();
-
-    let results: Vec<Result<Vec<u8>, ExecError>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for r in 0..n {
-            let rx = receivers[r].take().expect("receiver taken once");
-            let senders = Arc::clone(&senders);
-            let program = &plan.per_rank[r];
-            let my_payload = &payloads[r];
-            let labels = &labels;
-            handles.push(scope.spawn(move || -> Result<Vec<u8>, ExecError> {
-                rank_main(
-                    r, program, labels, my_payload, payloads, graph, &senders, rx, opts, stats,
-                )
-            }));
-        }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(r, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank: r })))
-            .collect()
-    });
-
-    let rbufs = collect_rank_results(results)?;
-    Ok((rbufs, stats.snapshot()))
+/// One rank's endpoint on the channel mesh of [`run_ranks`]: the
+/// fault-aware send path with the fault plan's reorder hold, and the
+/// keyed `(src, tag)` receive that parks early arrivals and drops
+/// duplicates of messages already consumed.
+pub(crate) struct RankPort<'m, W> {
+    rank: Rank,
+    senders: &'m [Sender<W>],
+    rx: Receiver<W>,
+    opts: &'m ExecOptions<'m>,
+    stats: &'m FaultStats,
+    phase: usize,
+    deadline: Option<Instant>,
+    /// At most one message the fault plan holds back; it is re-posted
+    /// after its successor, so reordering stays within the phase.
+    held: Option<(Rank, W)>,
+    /// Messages that arrived before their receive was posted.
+    parked: HashMap<(Rank, u64), W>,
+    /// Keys already consumed — a late duplicate is dropped, not parked.
+    seen: HashSet<(Rank, u64)>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rank_main(
-    r: Rank,
-    program: &[PlanPhase],
-    labels: &[&'static str],
-    my_payload: &[u8],
-    payloads: &[Vec<u8>],
-    graph: &Topology,
-    senders: &[Sender<Wire>],
-    rx: Receiver<Wire>,
-    opts: &ExecOptions<'_>,
-    stats: &FaultStats,
-) -> Result<Vec<u8>, ExecError> {
-    let mut store: HashMap<Rank, Arc<Vec<u8>>> =
-        HashMap::from([(r, Arc::new(my_payload.to_vec()))]);
-    // messages that arrived before their phase
-    let mut parked: HashMap<(Rank, u64), Wire> = HashMap::new();
-    for (k, phase) in program.iter().enumerate() {
-        opts.recorder.span_begin(r, labels[k]);
-        if phase.copy_blocks > 0 {
-            opts.recorder.copies(r, phase.copy_blocks);
+impl<W: WireMsg> RankPort<'_, W> {
+    /// Enters phase `k`: runs the fault plan's phase-entry hooks
+    /// (injected crash, then injected stall) and starts the phase
+    /// deadline.
+    pub(crate) fn begin_phase(&mut self, k: usize) -> Result<(), ExecError> {
+        if let Some(fp) = self.opts.fault {
+            if fp.is_crashed(self.rank, k) {
+                return Err(ExecError::RankCrashed { rank: self.rank, phase: k });
+            }
+            let stall = fp.stall(self.rank);
+            if stall > Duration::ZERO {
+                std::thread::sleep(stall);
+            }
         }
-        phase_entry_faults(r, k, opts)?;
-        let deadline = opts.phase_deadline.map(|d| Instant::now() + d);
+        self.phase = k;
+        self.deadline = self.opts.phase_deadline.map(|d| Instant::now() + d);
+        Ok(())
+    }
 
-        // at most one message is held back at a time; it is re-posted
-        // after its successor, so reordering stays within the phase
-        let mut held: Option<(Rank, Wire)> = None;
-        for msg in &phase.sends {
-            let mut blocks = Vec::with_capacity(msg.blocks.len());
-            for &b in &msg.blocks {
-                let data =
-                    store.get(&b).ok_or(ExecError::MissingBlock { rank: r, block: b, phase: k })?;
-                blocks.push((b, Arc::clone(data)));
-            }
-            let wire = Wire { src: r, tag: msg.tag, blocks };
-            let reorder =
-                opts.fault.is_some_and(|fp| fp.reorders(r, msg.peer, msg.tag) && held.is_none());
-            if reorder {
-                FaultStats::bump(&stats.reorders);
-                held = Some((msg.peer, wire));
-                continue;
-            }
-            transport_send(senders, msg.peer, wire, k, opts, stats)?;
-            if let Some((dst, w)) = held.take() {
-                transport_send(senders, dst, w, k, opts, stats)?;
-            }
+    /// Sends `wire` to `dst` through the fault-injected transport.
+    pub(crate) fn send(&mut self, dst: Rank, wire: W) -> Result<(), ExecError> {
+        let reorder = self
+            .opts
+            .fault
+            .is_some_and(|fp| fp.reorders(self.rank, dst, wire.tag()) && self.held.is_none());
+        if reorder {
+            FaultStats::bump(&self.stats.reorders);
+            self.held = Some((dst, wire));
+            return Ok(());
         }
-        if let Some((dst, w)) = held.take() {
-            transport_send(senders, dst, w, k, opts, stats)?;
-        }
+        transport_send(self.senders, dst, wire, self.phase, self.opts, self.stats)?;
+        self.flush()
+    }
 
-        let mut outstanding: std::collections::HashSet<(Rank, u64)> =
-            phase.recvs.iter().map(|m| (m.peer, m.tag)).collect();
-        // consume parked arrivals first
-        outstanding.retain(|key| {
-            if let Some(w) = parked.remove(key) {
-                opts.recorder.msg_recvd(r, w.src, w.byte_len());
-                for (b, data) in w.blocks {
-                    store.entry(b).or_insert(data);
+    /// Posts the held-back message, if any. Call after the phase's last
+    /// send.
+    pub(crate) fn flush(&mut self) -> Result<(), ExecError> {
+        match self.held.take() {
+            Some((dst, w)) => {
+                transport_send(self.senders, dst, w, self.phase, self.opts, self.stats)
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Blocks until the message keyed `(src, tag)` is available and
+    /// returns it, within the receive timeout and the phase deadline.
+    pub(crate) fn recv(&mut self, src: Rank, tag: u64) -> Result<W, ExecError> {
+        let (r, k) = (self.rank, self.phase);
+        let key = (src, tag);
+        let w = loop {
+            if let Some(w) = self.parked.remove(&key) {
+                break w;
+            }
+            let mut wait = self.opts.recv_timeout;
+            if let Some(dl) = self.deadline {
+                let now = Instant::now();
+                if now >= dl {
+                    return Err(ExecError::PhaseDeadline { rank: r, phase: k });
                 }
-                false
-            } else {
-                true
+                wait = wait.min(dl - now);
             }
-        });
-        while !outstanding.is_empty() {
-            let wait = recv_wait(r, k, deadline, opts.recv_timeout)?;
-            let w = rx.recv_timeout(wait).map_err(|_| {
-                if deadline.is_some_and(|dl| Instant::now() >= dl) {
+            let w = self.rx.recv_timeout(wait).map_err(|_| {
+                if self.deadline.is_some_and(|dl| Instant::now() >= dl) {
                     ExecError::PhaseDeadline { rank: r, phase: k }
                 } else {
                     ExecError::Timeout { rank: r, phase: k }
                 }
             })?;
-            let key = (w.src, w.tag);
-            if outstanding.remove(&key) {
-                opts.recorder.msg_recvd(r, w.src, w.byte_len());
-                for (b, data) in w.blocks {
-                    store.entry(b).or_insert(data);
-                }
-            } else {
-                // stray: either early (parked for its phase) or a
-                // duplicate of something already consumed (idempotent —
-                // `or_insert` above never overwrites)
-                parked.insert(key, w);
+            let wkey = (w.src(), w.tag());
+            if wkey == key {
+                break w;
             }
-        }
-        opts.recorder.span_end(r, labels[k]);
+            // stray: park if early, drop if a duplicate of a consumed key
+            if !self.seen.contains(&wkey) {
+                self.parked.insert(wkey, w);
+            }
+        };
+        self.seen.insert(key);
+        self.opts.recorder.msg_recvd(r, w.src(), w.byte_len());
+        Ok(w)
     }
-    // assemble the receive buffer
-    let ins = graph.in_neighbors(r);
-    let mut rbuf = Vec::with_capacity(ins.iter().map(|&b| payloads[b].len()).sum());
-    for &b in ins {
-        let data = store.get(&b).ok_or(ExecError::Undelivered { rank: r, block: b })?;
-        rbuf.extend_from_slice(data);
-    }
-    Ok(rbuf)
 }
 
-/// The zero-copy arena engine: each rank thread owns its flat buffer.
+/// The threaded rank-runner shared by every plan family: spawns one
+/// scoped thread per entry of `inputs`, hands each the rank's input and
+/// its [`RankPort`] on a fresh channel mesh, and folds the per-rank
+/// receive buffers with [`collect_rank_results`]. A panicking rank
+/// surfaces as [`ExecError::WorkerPanic`].
+pub(crate) fn run_ranks<W, S, F>(
+    inputs: Vec<S>,
+    opts: &ExecOptions<'_>,
+    stats: &FaultStats,
+    step: F,
+) -> Result<Vec<Vec<u8>>, ExecError>
+where
+    W: WireMsg,
+    S: Send,
+    F: Fn(Rank, S, &mut RankPort<'_, W>) -> Result<Vec<u8>, ExecError> + Sync,
+{
+    let (senders, receivers): (Vec<Sender<W>>, Vec<Receiver<W>>) =
+        inputs.iter().map(|_| channel()).unzip();
+    let results = std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .zip(receivers)
+            .enumerate()
+            .map(|(rank, (input, rx))| {
+                let (senders, step) = (&senders, &step);
+                scope.spawn(move || {
+                    let mut port = RankPort {
+                        rank,
+                        senders,
+                        rx,
+                        opts,
+                        stats,
+                        phase: 0,
+                        deadline: None,
+                        held: None,
+                        parked: HashMap::new(),
+                        seen: HashSet::new(),
+                    };
+                    step(rank, input, &mut port)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .map(|(rank, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank })))
+            .collect()
+    });
+    collect_rank_results(results)
+}
+
+/// The zero-copy arena engine: each rank thread owns its logical arena
+/// ([`SegBuf`]) and its receive buffer.
 fn run_arena(
     plan: &CollectivePlan,
     graph: &Topology,
@@ -686,40 +449,45 @@ fn run_arena(
     let exts = layout.extents(sizes);
     let rbuf_seed = arena.take_rbufs(n);
     let rbuf_caps: Vec<usize> = rbuf_seed.iter().map(Vec::capacity).collect();
-
-    let mut senders: Vec<Sender<SegWire<'_>>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Option<Receiver<SegWire<'_>>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-    let senders = Arc::new(senders);
     let labels: Vec<&'static str> = (0..plan.phase_count()).map(|k| phase_label(plan, k)).collect();
 
-    type RankOut = Result<Vec<u8>, ExecError>;
-    let results: Vec<RankOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (r, rbuf) in rbuf_seed.into_iter().enumerate() {
-            let rx = receivers[r].take().expect("receiver taken once");
-            let senders = Arc::clone(&senders);
-            let rl = &layout.ranks[r];
-            let program = &plan.per_rank[r];
-            let labels = &labels;
-            let own = payloads[r].as_slice();
-            let ext = &exts[r];
-            handles.push(scope.spawn(move || -> RankOut {
-                rank_main_arena(r, rl, program, labels, &senders, rx, opts, stats, own, rbuf, ext)
-            }));
-        }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(r, h)| h.join().unwrap_or(Err(ExecError::WorkerPanic { rank: r })))
-            .collect()
-    });
+    let rbufs = run_ranks(rbuf_seed, opts, stats, |r, mut rbuf, port| {
+        let (rl, program, ext) = (&layout.ranks[r], &plan.per_rank[r], &exts[r]);
+        let mut buf = SegBuf::new(&payloads[r]);
+        for (k, ops) in rl.phases.iter().enumerate() {
+            opts.recorder.span_begin(r, labels[k]);
+            if program[k].copy_blocks > 0 {
+                opts.recorder.copies(r, program[k].copy_blocks);
+            }
+            port.begin_phase(k)?;
+            for op in &ops.sends {
+                // resolve precomputed slot runs to slice descriptors — one
+                // descriptor per contiguous span, no bytes moved
+                let mut segs = Vec::new();
+                for &run in &op.runs {
+                    buf.view_into(ext.offset(run.0 as usize), ext.run_bytes(run), &mut segs);
+                }
+                port.send(op.peer, SegWire { src: r, tag: op.tag, segs })?;
+            }
+            port.flush()?;
 
-    let rbufs = collect_rank_results(results)?;
+            // land the phase's arrivals in layout (slot-assignment) order
+            // — each landing appends at the arena tail
+            for op in &ops.recvs {
+                let w = port.recv(op.peer, op.tag)?;
+                land_segs(&mut buf, &op.runs, &w.segs, ext);
+            }
+            opts.recorder.span_end(r, labels[k]);
+        }
+        // assemble the receive buffer from precomputed arena runs — the
+        // one per-byte copy on this engine
+        rbuf.clear();
+        rbuf.reserve(rl.out_runs.iter().map(|&run| ext.run_bytes(run)).sum());
+        for &run in &rl.out_runs {
+            buf.copy_out(ext.offset(run.0 as usize), ext.run_bytes(run), &mut rbuf);
+        }
+        Ok(rbuf)
+    })?;
     for (r, rb) in rbufs.iter().enumerate() {
         arena.note_realloc(rb.capacity() != rbuf_caps[r]);
     }
@@ -765,134 +533,24 @@ fn land_segs<'a>(buf: &mut SegBuf<'a>, runs: &[SlotRun], segs: &[&'a [u8]], ext:
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rank_main_arena<'a>(
-    r: Rank,
-    rl: &RankLayout,
-    program: &[PlanPhase],
-    labels: &[&'static str],
-    senders: &[Sender<SegWire<'a>>],
-    rx: Receiver<SegWire<'a>>,
-    opts: &ExecOptions<'_>,
-    stats: &FaultStats,
-    own: &'a [u8],
-    mut rbuf: Vec<u8>,
-    ext: &SlotExtents,
-) -> Result<Vec<u8>, ExecError> {
-    let mut buf = SegBuf::new(own);
-    // messages that arrived before their phase
-    let mut parked: HashMap<(Rank, u64), SegWire<'a>> = HashMap::new();
-    // keys already landed — a late duplicate is dropped, not re-landed
-    let mut seen: std::collections::HashSet<(Rank, u64)> = std::collections::HashSet::new();
-    for (k, ops) in rl.phases.iter().enumerate() {
-        opts.recorder.span_begin(r, labels[k]);
-        if program[k].copy_blocks > 0 {
-            opts.recorder.copies(r, program[k].copy_blocks);
-        }
-        phase_entry_faults(r, k, opts)?;
-        let deadline = opts.phase_deadline.map(|d| Instant::now() + d);
-
-        let mut held: Option<(Rank, SegWire<'a>)> = None;
-        for op in &ops.sends {
-            // resolve precomputed slot runs to slice descriptors — one
-            // descriptor per contiguous span, no bytes moved
-            let mut segs = Vec::new();
-            for &run in &op.runs {
-                buf.view_into(ext.offset(run.0 as usize), ext.run_bytes(run), &mut segs);
-            }
-            let wire = SegWire { src: r, tag: op.tag, segs };
-            let reorder =
-                opts.fault.is_some_and(|fp| fp.reorders(r, op.peer, op.tag) && held.is_none());
-            if reorder {
-                FaultStats::bump(&stats.reorders);
-                held = Some((op.peer, wire));
-                continue;
-            }
-            transport_send(senders, op.peer, wire, k, opts, stats)?;
-            if let Some((dst, w)) = held.take() {
-                transport_send(senders, dst, w, k, opts, stats)?;
-            }
-        }
-        if let Some((dst, w)) = held.take() {
-            transport_send(senders, dst, w, k, opts, stats)?;
-        }
-
-        // land the phase's arrivals in layout (slot-assignment) order —
-        // each landing appends at the arena tail
-        for op in &ops.recvs {
-            let key = (op.peer, op.tag);
-            let w = loop {
-                if let Some(w) = parked.remove(&key) {
-                    break w;
-                }
-                let wait = recv_wait(r, k, deadline, opts.recv_timeout)?;
-                let w = rx.recv_timeout(wait).map_err(|_| {
-                    if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                        ExecError::PhaseDeadline { rank: r, phase: k }
-                    } else {
-                        ExecError::Timeout { rank: r, phase: k }
-                    }
-                })?;
-                let wkey = (w.src, w.tag);
-                if wkey == key {
-                    break w;
-                }
-                // stray: park if early, drop if a duplicate of a landed key
-                if !seen.contains(&wkey) {
-                    parked.insert(wkey, w);
-                }
-            };
-            seen.insert(key);
-            opts.recorder.msg_recvd(r, w.src, w.byte_len());
-            land_segs(&mut buf, &op.runs, &w.segs, ext);
-        }
-        opts.recorder.span_end(r, labels[k]);
-    }
-    // assemble the receive buffer from precomputed arena runs — the one
-    // per-byte copy on this engine
-    rbuf.clear();
-    rbuf.reserve(rl.out_runs.iter().map(|&run| ext.run_bytes(run)).sum());
-    for &run in &rl.out_runs {
-        buf.copy_out(ext.offset(run.0 as usize), ext.run_bytes(run), &mut rbuf);
-    }
-    Ok(rbuf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::build_pattern;
     use crate::common_neighbor::plan_common_neighbor;
     use crate::exec::virtual_exec::{reference_allgather, test_payloads, Virtual};
+    use crate::fault::FaultPlan;
     use crate::lower::lower;
     use crate::naive::plan_naive;
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
-
-    /// Runs both engines through the trait and checks they agree.
-    fn run_both(
-        plan: &CollectivePlan,
-        g: &Topology,
-        payloads: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>, ExecError> {
-        let arena_out = Threaded.run_simple(plan, g, payloads)?;
-        let legacy = Threaded.run(
-            plan,
-            g,
-            payloads,
-            &mut BlockArena::new(),
-            &ExecOptions::new().engine(ExecEngine::PerBlock),
-        )?;
-        assert_eq!(arena_out, legacy.rbufs, "engines disagree");
-        Ok(arena_out)
-    }
 
     #[test]
     fn naive_threaded_matches_reference() {
         let g = erdos_renyi(16, 0.4, 1);
         let plan = plan_naive(&g);
         let payloads = test_payloads(16, 32, 2);
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = Threaded.run_simple(&plan, &g, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&g, &payloads));
     }
 
@@ -902,7 +560,7 @@ mod tests {
         let layout = ClusterLayout::new(3, 2, 4);
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
         let payloads = test_payloads(24, 16, 9);
-        let threaded = run_both(&plan, &g, &payloads).unwrap();
+        let threaded = Threaded.run_simple(&plan, &g, &payloads).unwrap();
         let virt = Virtual.run_simple(&plan, &g, &payloads).unwrap();
         assert_eq!(threaded, virt);
         assert_eq!(threaded, reference_allgather(&g, &payloads));
@@ -913,7 +571,7 @@ mod tests {
         let g = erdos_renyi(20, 0.5, 4);
         let plan = plan_common_neighbor(&g, 4);
         let payloads = test_payloads(20, 8, 1);
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = Threaded.run_simple(&plan, &g, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&g, &payloads));
     }
 
@@ -955,15 +613,14 @@ mod tests {
 
     #[test]
     fn fault_sink_survives_failed_runs() {
-        // Same scenario via the per-block engine: even though run() errors,
-        // the caller-provided sink keeps the injected-fault tally.
+        // Even though run() errors, the caller-provided sink keeps the
+        // injected-fault tally.
         let g = Topology::from_edges(2, [(0, 1), (1, 0)]);
         let plan = plan_naive(&g);
         let fp = FaultPlan::seeded(2).with_link_down(0, 1, 0);
         let payloads = test_payloads(2, 4, 1);
         let sink = FaultStats::default();
         let opts = ExecOptions::new()
-            .engine(ExecEngine::PerBlock)
             .fault(&fp)
             .fault_sink(&sink)
             .recv_timeout(Duration::from_millis(200));
@@ -1017,7 +674,7 @@ mod tests {
         };
         let payloads = test_payloads(3, 4, 3);
         for _ in 0..20 {
-            let got = run_both(&plan, &g, &payloads).unwrap();
+            let got = Threaded.run_simple(&plan, &g, &payloads).unwrap();
             assert_eq!(got, reference_allgather(&g, &payloads));
         }
     }
@@ -1074,17 +731,15 @@ mod tests {
         let layout = ClusterLayout::new(3, 2, 4);
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
         let payloads = test_payloads(20, 16, 9);
-        for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-            let vrec = nhood_telemetry::CountingRecorder::new(20);
-            let vopts = ExecOptions::new().engine(engine).recorder(&vrec);
-            Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &vopts).unwrap();
-            let trec = nhood_telemetry::CountingRecorder::new(20);
-            let topts = ExecOptions::new().engine(engine).recorder(&trec);
-            let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &topts).unwrap();
-            assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
-            for r in 0..20 {
-                assert_eq!(vrec.per_rank(r), trec.per_rank(r), "rank {r} ({engine:?})");
-            }
+        let vrec = nhood_telemetry::CountingRecorder::new(20);
+        let vopts = ExecOptions::new().recorder(&vrec);
+        Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &vopts).unwrap();
+        let trec = nhood_telemetry::CountingRecorder::new(20);
+        let topts = ExecOptions::new().recorder(&trec);
+        let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &topts).unwrap();
+        assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
+        for r in 0..20 {
+            assert_eq!(vrec.per_rank(r), trec.per_rank(r), "rank {r}");
         }
     }
 
@@ -1114,12 +769,10 @@ mod tests {
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
         let payloads = test_payloads(20, 8, 11);
         let fp = FaultPlan::seeded(5).with_message_duplication(0.3).with_message_reorder(0.3);
-        for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-            let opts = ExecOptions::new().engine(engine).fault(&fp);
-            let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
-            assert_eq!(out.rbufs, reference_allgather(&g, &payloads), "{engine:?}");
-            assert!(out.faults.duplicates + out.faults.reorders > 0);
-        }
+        let opts = ExecOptions::new().fault(&fp);
+        let out = Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap();
+        assert_eq!(out.rbufs, reference_allgather(&g, &payloads));
+        assert!(out.faults.duplicates + out.faults.reorders > 0);
     }
 
     #[test]
@@ -1178,32 +831,10 @@ mod tests {
             plan_common_neighbor(&g, 4),
             lower(&build_pattern(&g, &layout).unwrap(), &g),
         ] {
-            for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-                let opts = ExecOptions::new().ragged(true).engine(engine);
-                let got = Threaded
-                    .run(&plan, &g, &payloads, &mut BlockArena::new(), &opts)
-                    .unwrap()
-                    .rbufs;
-                assert_eq!(got, want, "{engine:?}");
-            }
+            let opts = ExecOptions::new().ragged(true);
+            let got =
+                Threaded.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
+            assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        let g = erdos_renyi(12, 0.4, 3);
-        let plan = plan_naive(&g);
-        let payloads = test_payloads(12, 8, 2);
-        let want = reference_allgather(&g, &payloads);
-        assert_eq!(run_threaded(&plan, &g, &payloads).unwrap(), want);
-        assert_eq!(run_threaded_v(&plan, &g, &payloads).unwrap(), want);
-        assert_eq!(
-            run_threaded_with_timeout(&plan, &g, &payloads, Duration::from_secs(5)).unwrap(),
-            want
-        );
-        let cfg = ThreadedConfig::default();
-        assert_eq!(run_threaded_cfg(&plan, &g, &payloads, &cfg).unwrap().rbufs, want);
-        assert_eq!(run_threaded_cfg_v(&plan, &g, &payloads, &cfg).unwrap().rbufs, want);
     }
 }

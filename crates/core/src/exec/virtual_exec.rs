@@ -5,29 +5,19 @@
 //! for every algorithm and topology in the test suite and scales to
 //! thousands of ranks.
 //!
-//! Two data-movement engines implement the same semantics:
-//!
-//! * [`ExecEngine::Arena`] (default) — each rank holds one flat buffer
-//!   laid out by a precomputed [`crate::arena::ArenaLayout`]; a planned
-//!   message is a handful of `copy_from_slice` calls between arenas
-//!   (one, for Distance Halving halving steps) and receive buffers are
-//!   assembled from precomputed runs;
-//! * [`ExecEngine::PerBlock`] — the legacy store: blocks shared via
-//!   `Arc` in per-rank hash maps. Kept as the baseline the bench
-//!   harness compares against.
-//!
-//! Both engines accept ragged (`allgatherv`) payloads: the arena engine
-//! resolves slot runs through per-rank [`SlotExtents`] byte tables, so
-//! variable-size blocks keep the same handful-of-copies execution.
+//! Each rank holds one flat buffer laid out by a precomputed
+//! [`crate::arena::ArenaLayout`]; a planned message is a handful of
+//! `copy_from_slice` calls between arenas (one, for Distance Halving
+//! halving steps) and receive buffers are assembled from precomputed
+//! runs. Ragged (`allgatherv`) payloads resolve slot runs through
+//! per-rank [`SlotExtents`] byte tables, so variable-size blocks keep
+//! the same handful-of-copies execution.
 
 use crate::arena::{two_bufs, BlockArena, SlotExtents, SlotRun};
-use crate::exec::{check_payloads, ExecEngine, ExecError, ExecOptions, ExecOutcome, Executor};
+use crate::exec::{payload_sizes, ExecError, ExecOptions, ExecOutcome, Executor};
 use crate::plan::CollectivePlan;
 use crate::sizes::BlockSizes;
-use nhood_telemetry::{Recorder, NULL};
-use nhood_topology::{Rank, Topology};
-use std::collections::HashMap;
-use std::sync::Arc;
+use nhood_topology::Topology;
 
 /// The sequential real-bytes backend (see module docs).
 #[derive(Clone, Copy, Debug, Default)]
@@ -46,25 +36,8 @@ impl Executor for Virtual {
         arena: &mut BlockArena,
         opts: &ExecOptions<'_>,
     ) -> Result<ExecOutcome, ExecError> {
-        if payloads.len() != plan.n() {
-            return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-        }
-        let rbufs = match opts.effective_engine() {
-            ExecEngine::Arena => {
-                let sizes = if opts.ragged {
-                    BlockSizes::from_payloads(payloads)
-                } else {
-                    BlockSizes::Uniform(check_payloads(payloads, plan.n())?)
-                };
-                run_arena(plan, graph, payloads, &sizes, arena, opts)?
-            }
-            ExecEngine::PerBlock => {
-                if !opts.ragged {
-                    check_payloads(payloads, plan.n())?;
-                }
-                run_any(plan, graph, payloads, opts.recorder)?
-            }
-        };
+        let sizes = payload_sizes(payloads, plan.n(), opts.ragged)?;
+        let rbufs = run_arena(plan, graph, payloads, &sizes, arena, opts)?;
         Ok(ExecOutcome { rbufs, ..ExecOutcome::default() })
     }
 }
@@ -85,22 +58,34 @@ fn run_arena(
     arena.fill(&layout, payloads, &exts);
     let mut bufs = arena.take_bufs();
 
+    // receives fed this phase, per rank
+    let mut fed = vec![0usize; n];
     for k in 0..layout.phase_count {
         for (r, prog) in plan.per_rank.iter().enumerate() {
             if prog[k].copy_blocks > 0 {
                 rec.copies(r, prog[k].copy_blocks);
             }
         }
+        fed.fill(0);
         for r in 0..n {
             for op in &layout.ranks[r].phases[k].sends {
                 let ext = &exts[r];
                 let bytes: usize = op.runs.iter().map(|&run| ext.run_bytes(run)).sum();
                 rec.msg_sent(r, op.peer, bytes);
+                // a send no receive was posted for lands nowhere, as on
+                // the threaded backend, where it is never consumed
+                let Some(dst_runs) = layout.ranks[op.peer].recv_runs.get(&(r, op.tag)) else {
+                    continue;
+                };
                 rec.msg_recvd(op.peer, r, bytes);
-                let dst_runs = &layout.ranks[op.peer].recv_runs[&(r, op.tag)];
+                fed[op.peer] += 1;
                 let (src, dst) = two_bufs(&mut bufs, r, op.peer);
                 copy_runs(src, &op.runs, ext, dst, dst_runs, &exts[op.peer]);
             }
+        }
+        if let Some(err) = unfed_recv(plan, &fed, k) {
+            arena.restore_bufs(bufs);
+            return Err(err);
         }
     }
 
@@ -117,6 +102,21 @@ fn run_arena(
     }
     arena.restore_bufs(bufs);
     Ok(rbufs)
+}
+
+/// The first receive of phase `k` that no send fed — a plan whose
+/// sender dropped the message — as the [`ExecError::Undelivered`] its
+/// receiver would otherwise hide behind unwritten arena bytes.
+fn unfed_recv(plan: &CollectivePlan, fed: &[usize], k: usize) -> Option<ExecError> {
+    (0..fed.len()).filter(|&r| fed[r] != plan.per_rank[r][k].recvs.len()).find_map(|r| {
+        let msg = plan.per_rank[r][k].recvs.iter().find(|m| {
+            plan.per_rank
+                .get(m.peer)
+                .is_none_or(|prog| !prog[k].sends.iter().any(|s| s.peer == r && s.tag == m.tag))
+        })?;
+        let block = msg.blocks.first().copied().unwrap_or(msg.peer);
+        Some(ExecError::Undelivered { rank: r, block })
+    })
 }
 
 /// Copies blocks from `src` spans to `dst` spans. Both run lists carry
@@ -169,126 +169,6 @@ pub(crate) fn copy_runs(
     }
 }
 
-/// Executes `plan` with the given per-rank payloads and returns each
-/// rank's receive buffer: the payloads of its incoming neighbors,
-/// concatenated in `in_neighbors` order (MPI neighborhood-allgather
-/// semantics).
-#[deprecated(
-    note = "use `Virtual.run(...)` or `Virtual.run_simple(...)` (see docs/EXECUTION_API.md)"
-)]
-pub fn run_virtual(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    run_any(plan, graph, payloads, &NULL)
-}
-
-/// [`run_virtual`] with a telemetry [`Recorder`].
-#[deprecated(note = "use `Virtual.run(...)` with `ExecOptions::new().recorder(...)`")]
-pub fn run_virtual_rec(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    rec: &dyn Recorder,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    check_payloads(payloads, plan.n())?;
-    run_any(plan, graph, payloads, rec)
-}
-
-/// The `neighbor_allgatherv` variant of [`run_virtual`]: per-rank
-/// payloads may have different lengths.
-#[deprecated(note = "use `Virtual.run(...)` with `ExecOptions::new().ragged(true)`")]
-pub fn run_virtual_v(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    if payloads.len() != plan.n() {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-    }
-    run_any(plan, graph, payloads, &NULL)
-}
-
-/// [`run_virtual_v`] with a telemetry [`Recorder`].
-#[deprecated(note = "use `Virtual.run(...)` with `ExecOptions::new().ragged(true).recorder(...)`")]
-pub fn run_virtual_v_rec(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    rec: &dyn Recorder,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    if payloads.len() != plan.n() {
-        return Err(ExecError::PayloadCountMismatch { got: payloads.len(), want: plan.n() });
-    }
-    run_any(plan, graph, payloads, rec)
-}
-
-/// The legacy per-block engine (also serves ragged payloads).
-pub(crate) fn run_any(
-    plan: &CollectivePlan,
-    graph: &Topology,
-    payloads: &[Vec<u8>],
-    rec: &dyn Recorder,
-) -> Result<Vec<Vec<u8>>, ExecError> {
-    let n = plan.n();
-
-    let mut store: Vec<HashMap<Rank, Arc<Vec<u8>>>> = payloads
-        .iter()
-        .enumerate()
-        .map(|(r, p)| HashMap::from([(r, Arc::new(p.clone()))]))
-        .collect();
-
-    for k in 0..plan.phase_count() {
-        // Assemble all sends against pre-phase stores.
-        // (dst, packed blocks) pairs staged against pre-phase stores
-        type InFlight = Vec<(Rank, Rank, Vec<(Rank, Arc<Vec<u8>>)>)>;
-        let mut in_flight: InFlight = Vec::new();
-        for (r, prog) in plan.per_rank.iter().enumerate() {
-            if prog[k].copy_blocks > 0 {
-                rec.copies(r, prog[k].copy_blocks);
-            }
-            for msg in &prog[k].sends {
-                let mut packed = Vec::with_capacity(msg.blocks.len());
-                let mut bytes = 0usize;
-                for &b in &msg.blocks {
-                    let data = store[r].get(&b).ok_or(ExecError::MissingBlock {
-                        rank: r,
-                        block: b,
-                        phase: k,
-                    })?;
-                    bytes += data.len();
-                    packed.push((b, Arc::clone(data)));
-                }
-                rec.msg_sent(r, msg.peer, bytes);
-                in_flight.push((r, msg.peer, packed));
-            }
-        }
-        // Deliver.
-        for (src, dst, packed) in in_flight {
-            let bytes = packed.iter().map(|(_, d)| d.len()).sum();
-            rec.msg_recvd(dst, src, bytes);
-            for (b, data) in packed {
-                store[dst].entry(b).or_insert(data);
-            }
-        }
-    }
-
-    // Build receive buffers.
-    let mut out = Vec::with_capacity(n);
-    for (r, held) in store.iter().enumerate() {
-        let ins = graph.in_neighbors(r);
-        let mut rbuf = Vec::with_capacity(ins.iter().map(|&b| payloads[b].len()).sum());
-        for &b in ins {
-            let data = held.get(&b).ok_or(ExecError::Undelivered { rank: r, block: b })?;
-            rbuf.extend_from_slice(data);
-        }
-        out.push(rbuf);
-    }
-    Ok(out)
-}
-
 /// Reference receive buffers straight from the definition — what any
 /// correct neighborhood allgather must produce.
 pub fn reference_allgather(graph: &Topology, payloads: &[Vec<u8>]) -> Vec<Vec<u8>> {
@@ -331,31 +211,12 @@ mod tests {
     use nhood_cluster::ClusterLayout;
     use nhood_topology::random::erdos_renyi;
 
-    /// Runs both engines and checks they agree before returning the
-    /// arena result.
-    fn run_both(
-        plan: &CollectivePlan,
-        g: &Topology,
-        payloads: &[Vec<u8>],
-    ) -> Result<Vec<Vec<u8>>, ExecError> {
-        let arena_out = Virtual.run_simple(plan, g, payloads)?;
-        let legacy = Virtual.run(
-            plan,
-            g,
-            payloads,
-            &mut BlockArena::new(),
-            &ExecOptions::new().engine(ExecEngine::PerBlock),
-        )?;
-        assert_eq!(arena_out, legacy.rbufs, "engines disagree");
-        Ok(arena_out)
-    }
-
     #[test]
     fn naive_matches_reference() {
         let g = erdos_renyi(24, 0.3, 1);
         let plan = plan_naive(&g);
         let payloads = test_payloads(24, 16, 7);
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();
         assert_eq!(got, reference_allgather(&g, &payloads));
     }
 
@@ -368,7 +229,8 @@ mod tests {
             let layout = ClusterLayout::new(nodes, 2, cores);
             let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
             let payloads = test_payloads(n, 8, 3);
-            let got = run_both(&plan, &g, &payloads)
+            let got = Virtual
+                .run_simple(&plan, &g, &payloads)
                 .unwrap_or_else(|e| panic!("n={n} delta={delta}: {e}"));
             assert_eq!(got, reference_allgather(&g, &payloads), "n={n} delta={delta}");
         }
@@ -380,7 +242,7 @@ mod tests {
             let g = erdos_renyi(32, 0.4, 9);
             let plan = plan_common_neighbor(&g, k);
             let payloads = test_payloads(32, 12, 1);
-            let got = run_both(&plan, &g, &payloads).unwrap();
+            let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();
             assert_eq!(got, reference_allgather(&g, &payloads), "k={k}");
         }
     }
@@ -390,7 +252,7 @@ mod tests {
         let g = erdos_renyi(12, 0.5, 2);
         let plan = plan_naive(&g);
         let payloads = vec![vec![]; 12];
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();
         for (r, rbuf) in got.iter().enumerate() {
             assert!(rbuf.is_empty(), "rank {r}");
         }
@@ -423,7 +285,7 @@ mod tests {
         });
         let payloads = test_payloads(3, 4, 0);
         assert_eq!(
-            run_both(&plan, &g, &payloads).unwrap_err(),
+            Virtual.run_simple(&plan, &g, &payloads).unwrap_err(),
             ExecError::MissingBlock { rank: 1, block: 0, phase: 0 }
         );
     }
@@ -435,9 +297,27 @@ mod tests {
         plan.per_rank[0][0].sends.clear();
         let payloads = test_payloads(2, 4, 0);
         assert_eq!(
-            run_both(&plan, &g, &payloads).unwrap_err(),
+            Virtual.run_simple(&plan, &g, &payloads).unwrap_err(),
             ExecError::Undelivered { rank: 1, block: 0 }
         );
+    }
+
+    #[test]
+    fn unmatched_send_lands_nowhere() {
+        // rank 0 also sends its block to rank 2, which posts no receive:
+        // the extra message is dropped (as on the threaded backend), not
+        // a panic, and every receive buffer stays exact
+        let g = Topology::from_edges(3, [(0, 1)]);
+        let mut plan = plan_naive(&g);
+        plan.per_rank[0][0].sends.push(crate::plan::PlannedMsg {
+            peer: 2,
+            blocks: vec![0],
+            tag: 9,
+        });
+        let payloads = test_payloads(3, 4, 0);
+        let want = reference_allgather(&g, &payloads);
+        assert_eq!(Virtual.run_simple(&plan, &g, &payloads).unwrap(), want);
+        assert_eq!(crate::exec::Threaded.run_simple(&plan, &g, &payloads).unwrap(), want);
     }
 
     #[test]
@@ -447,7 +327,7 @@ mod tests {
         let g = Topology::from_edges(4, [(2, 0), (1, 0), (3, 0)]);
         let plan = plan_naive(&g);
         let payloads = test_payloads(4, 4, 11);
-        let got = run_both(&plan, &g, &payloads).unwrap();
+        let got = Virtual.run_simple(&plan, &g, &payloads).unwrap();
         // in_neighbors(0) = [1, 2, 3]
         assert_eq!(&got[0][0..4], &payloads[1][..]);
         assert_eq!(&got[0][4..8], &payloads[2][..]);
@@ -465,13 +345,10 @@ mod tests {
             plan_common_neighbor(&g, 4),
             lower(&build_pattern(&g, &layout).unwrap(), &g),
         ] {
-            // both engines serve ragged payloads and must agree
-            for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-                let opts = ExecOptions::new().ragged(true).engine(engine);
-                let got =
-                    Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
-                assert_eq!(got, want, "{engine:?}");
-            }
+            let opts = ExecOptions::new().ragged(true);
+            let got =
+                Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
+            assert_eq!(got, want);
         }
         // the strict (uniform) call rejects ragged payloads
         assert!(matches!(
@@ -486,18 +363,15 @@ mod tests {
         let layout = ClusterLayout::new(3, 2, 4);
         let plan = lower(&build_pattern(&g, &layout).unwrap(), &g);
         let payloads = test_payloads(24, 8, 1);
-        for engine in [ExecEngine::Arena, ExecEngine::PerBlock] {
-            let rec = nhood_telemetry::CountingRecorder::new(24);
-            let opts = ExecOptions::new().engine(engine).recorder(&rec);
-            let got =
-                Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
-            assert_eq!(got, reference_allgather(&g, &payloads));
-            let t = rec.totals();
-            assert_eq!(t.msgs_sent as usize, plan.message_count(), "{engine:?}");
-            assert_eq!(t.msgs_sent, t.msgs_recvd);
-            assert_eq!(t.bytes_sent, t.bytes_recvd);
-            assert_eq!(t.bytes_sent as usize, plan.total_blocks_sent() * 8);
-        }
+        let rec = nhood_telemetry::CountingRecorder::new(24);
+        let opts = ExecOptions::new().recorder(&rec);
+        let got = Virtual.run(&plan, &g, &payloads, &mut BlockArena::new(), &opts).unwrap().rbufs;
+        assert_eq!(got, reference_allgather(&g, &payloads));
+        let t = rec.totals();
+        assert_eq!(t.msgs_sent as usize, plan.message_count());
+        assert_eq!(t.msgs_sent, t.msgs_recvd);
+        assert_eq!(t.bytes_sent, t.bytes_recvd);
+        assert_eq!(t.bytes_sent as usize, plan.total_blocks_sent() * 8);
     }
 
     #[test]
@@ -519,19 +393,6 @@ mod tests {
             }
             prev = Some(arena.reallocations());
         }
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
-        let g = erdos_renyi(12, 0.4, 3);
-        let plan = plan_naive(&g);
-        let payloads = test_payloads(12, 8, 2);
-        let want = reference_allgather(&g, &payloads);
-        assert_eq!(run_virtual(&plan, &g, &payloads).unwrap(), want);
-        assert_eq!(run_virtual_rec(&plan, &g, &payloads, &NULL).unwrap(), want);
-        assert_eq!(run_virtual_v(&plan, &g, &payloads).unwrap(), want);
-        assert_eq!(run_virtual_v_rec(&plan, &g, &payloads, &NULL).unwrap(), want);
     }
 
     #[test]

@@ -90,12 +90,12 @@ pub use comm::{
 };
 pub use csr::RespMap;
 pub use exec::sim_exec::SimCost;
-pub use exec::{ExecEngine, ExecError, ExecOptions, ExecOutcome, Executor, Sim, Threaded, Virtual};
+pub use exec::{ExecError, ExecOptions, ExecOutcome, Executor, Sim, Threaded, Virtual};
 pub use fault::{FaultAction, FaultCounts, FaultPlan, FaultStats};
 pub use pattern::{DhPattern, SelectionStats};
 pub use plan::{Algorithm, CollectivePlan, PlanValidationError};
 pub use plan_cache::{PlanCache, PlanCacheStats, PlanFingerprint};
 pub use pool::WorkerPool;
 pub use repair::{Completeness, RepairPolicy};
-pub use select_algo::{recommend, recommend_sized, recommend_with, SelectionPolicy};
+pub use select_algo::{recommend, recommend_sized};
 pub use sizes::{BlockSizes, LoadMetric};

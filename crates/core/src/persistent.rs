@@ -41,23 +41,17 @@ impl PersistentAllgather {
     }
 
     /// [`Self::init`] with explicit [`ExecOptions`]: planning goes
-    /// through the communicator's plan cache when one is attached
-    /// (repeated `init_with` on one cached (topology, algorithm) pair is
-    /// O(1) after the first), `opts.build_threads` overrides the
-    /// communicator's build pool for a cold build (`0` inherits it), and
-    /// cache lookups / build spans report to `opts.recorder`.
+    /// through the communicator as configured — its plan cache when one
+    /// is attached (repeated `init_with` on one cached (topology,
+    /// algorithm) pair is O(1) after the first) and its build pool for a
+    /// cold build — and cache lookups / build spans report to
+    /// `opts.recorder`.
     pub fn init_with(
         comm: &DistGraphComm,
         algo: Algorithm,
         opts: &ExecOptions<'_>,
     ) -> Result<Self, CommError> {
-        let plan = if opts.build_threads == 0 {
-            comm.plan_shared_recorded(algo, opts.recorder)?
-        } else {
-            comm.clone()
-                .with_build_threads(opts.build_threads)
-                .plan_shared_recorded(algo, opts.recorder)?
-        };
+        let plan = comm.plan_shared_recorded(algo, opts.recorder)?;
         let mut arena = BlockArena::new();
         arena.prepare(&plan, comm.graph())?;
         Ok(Self { graph: comm.graph().clone(), plan, arena, rbufs: Vec::new(), executions: 0 })

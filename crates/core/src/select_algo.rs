@@ -1,16 +1,13 @@
-//! Automatic algorithm selection — thin shims over the
+//! Automatic algorithm selection — thin entry points over the
 //! simulation-driven tuner in [`crate::autotune`].
 //!
-//! The original `recommend*` encoded static crossover thresholds
-//! (density and message-size cutoffs fitted to `EXPERIMENTS.md`), and
-//! `recommend_with` had a real bug: it classified **ragged** workloads
-//! by whatever uniform `m` the caller happened to pass, ignoring the
-//! actual byte totals. Both problems are gone the same way: selection
-//! now scores every portfolio candidate through the §V cost model for
-//! the exact (topology, layout, [`BlockSizes`]) request —
-//! [`recommend_sized`] is the real surface, and the legacy entry points
-//! delegate to it, so the thresholds can never drift from the model
-//! again. Callers who know better can always pick explicitly.
+//! Selection scores every portfolio candidate through the §V cost model
+//! for the exact (topology, layout, [`BlockSizes`]) request:
+//! [`recommend_sized`] is the real surface and [`recommend`] is its
+//! uniform-size case, so no static threshold can drift from the model.
+//! Ragged workloads are classified by their actual per-rank byte
+//! totals, not by a representative uniform size. Callers who know
+//! better can always pick explicitly.
 
 use crate::comm::DistGraphComm;
 use crate::plan::Algorithm;
@@ -19,44 +16,10 @@ use nhood_cluster::ClusterLayout;
 use nhood_telemetry::NULL;
 use nhood_topology::Topology;
 
-/// Tuning knobs of the recommendation shims. The density / message-size
-/// crossover thresholds of the pre-tuner implementation are retained
-/// for API compatibility but **no longer consulted** — the simulated
-/// sweep subsumes them.
-#[derive(Clone, Copy, Debug)]
-pub struct SelectionPolicy {
-    /// Legacy threshold (unused): below this mean out-degree fraction
-    /// of `n`, the static rules picked direct sends.
-    pub min_density: f64,
-    /// Legacy threshold (unused): at or above this payload size, the
-    /// static rules picked the leader hierarchy.
-    pub large_message_bytes: usize,
-    /// Leaders per node of the hierarchical-leader candidate the tuner
-    /// sweeps.
-    pub leaders_per_node: usize,
-}
-
-impl Default for SelectionPolicy {
-    fn default() -> Self {
-        Self { min_density: 0.02, large_message_bytes: 4096, leaders_per_node: 8 }
-    }
-}
-
-/// Recommends an allgather algorithm for a topology / layout / payload
-/// size, using the default [`SelectionPolicy`].
+/// Recommends an allgather algorithm for a topology / layout / uniform
+/// payload size — [`recommend_sized`] over the degenerate size table.
 pub fn recommend(graph: &Topology, layout: &ClusterLayout, m: usize) -> Algorithm {
-    recommend_with(graph, layout, m, &SelectionPolicy::default())
-}
-
-/// [`recommend`] with an explicit policy. A uniform `m` is just the
-/// degenerate size table — this shims to [`recommend_sized`].
-pub fn recommend_with(
-    graph: &Topology,
-    layout: &ClusterLayout,
-    m: usize,
-    policy: &SelectionPolicy,
-) -> Algorithm {
-    recommend_sized(graph, layout, &BlockSizes::uniform(m), policy)
+    recommend_sized(graph, layout, &BlockSizes::uniform(m))
 }
 
 /// The size-aware selection surface: scores the full candidate
@@ -65,12 +28,7 @@ pub fn recommend_with(
 /// (fewer than two ranks, a single node, a layout the topology does not
 /// fit) short-circuit to [`Algorithm::Naive`] — with nothing to
 /// combine, direct sends are optimal and a simulation sweep is waste.
-pub fn recommend_sized(
-    graph: &Topology,
-    layout: &ClusterLayout,
-    sizes: &BlockSizes,
-    policy: &SelectionPolicy,
-) -> Algorithm {
+pub fn recommend_sized(graph: &Topology, layout: &ClusterLayout, sizes: &BlockSizes) -> Algorithm {
     let n = graph.n();
     if n < 2 || layout.nodes() == 1 || n <= layout.ranks_per_node() {
         return Algorithm::Naive;
@@ -78,7 +36,7 @@ pub fn recommend_sized(
     let Ok(comm) = DistGraphComm::create_adjacent(graph.clone(), layout.clone()) else {
         return Algorithm::Naive;
     };
-    let cands = crate::autotune::candidates(n, layout, policy.leaders_per_node);
+    let cands = crate::autotune::candidates(n, layout);
     match comm.tune_candidates(&cands, sizes, &NULL) {
         Ok(outcome) => outcome.winner,
         Err(_) => Algorithm::Naive,
@@ -102,12 +60,7 @@ mod tests {
             let comm = DistGraphComm::create_adjacent(g.clone(), layout.clone()).unwrap();
             let rec = recommend(&g, &layout, m);
             let t_rec = simulate(&comm.plan(rec).unwrap(), &layout, m, &cost).unwrap().makespan;
-            let cands = crate::autotune::candidates(
-                216,
-                &layout,
-                SelectionPolicy::default().leaders_per_node,
-            );
-            for cand in cands {
+            for cand in crate::autotune::candidates(216, &layout) {
                 let t = simulate(&comm.plan(cand).unwrap(), &layout, m, &cost).unwrap().makespan;
                 assert!(
                     t_rec <= t + 1e-15,
@@ -133,21 +86,20 @@ mod tests {
 
     #[test]
     fn ragged_sizes_flow_into_selection() {
-        // Regression: recommend_with used to classify ragged workloads
-        // by the uniform m alone. recommend_sized must consume the real
-        // table: its winner is the argmin under THOSE byte totals.
+        // Regression: selection once classified ragged workloads by a
+        // uniform m alone. recommend_sized must consume the real table:
+        // its winner is the argmin under THOSE byte totals.
         let layout = ClusterLayout::niagara(4, 32);
         let g = erdos_renyi(128, 0.3, 3);
         // every 7th rank huge, the rest tiny — a mean-m classifier and
         // a table-aware one see very different workloads
         let table: Vec<usize> = (0..128).map(|r| if r % 7 == 0 { 1 << 18 } else { 16 }).collect();
         let sizes = BlockSizes::per_rank(table.clone());
-        let policy = SelectionPolicy::default();
-        let rec = recommend_sized(&g, &layout, &sizes, &policy);
+        let rec = recommend_sized(&g, &layout, &sizes);
         let comm = DistGraphComm::create_adjacent(g.clone(), layout.clone()).unwrap();
         let cost = SimCost::niagara();
         let t_rec = simulate_v(&comm.plan(rec).unwrap(), &layout, &table, &cost).unwrap().makespan;
-        for cand in crate::autotune::candidates(128, &layout, policy.leaders_per_node) {
+        for cand in crate::autotune::candidates(128, &layout) {
             let t = simulate_v(&comm.plan(cand).unwrap(), &layout, &table, &cost).unwrap().makespan;
             assert!(t_rec <= t + 1e-15, "ragged winner {rec} beaten by {cand}");
         }
@@ -157,11 +109,10 @@ mod tests {
     fn uniform_shim_agrees_with_the_sized_surface() {
         let layout = ClusterLayout::niagara(4, 32);
         let g = erdos_renyi(128, 0.2, 3);
-        let policy = SelectionPolicy::default();
         for m in [4usize, 64, 4096, 65_536] {
             assert_eq!(
-                recommend_with(&g, &layout, m, &policy),
-                recommend_sized(&g, &layout, &BlockSizes::uniform(m), &policy),
+                recommend(&g, &layout, m),
+                recommend_sized(&g, &layout, &BlockSizes::uniform(m)),
                 "m={m}"
             );
         }
